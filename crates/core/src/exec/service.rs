@@ -24,7 +24,6 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 use sns_sim::time::SimTime;
-use sns_sim::ComponentId;
 
 use crate::frontend::{Action, FeEvent, ReqState, ServiceLogic, SvcView};
 use crate::msg::{ClientRequest, JobResult, ProfileData};
@@ -37,8 +36,8 @@ use super::BoxFut;
 pub enum EventOutcome {
     /// A worker answered (`FeEvent::WorkerReply`).
     Reply(JobResult),
-    /// The dispatch failed permanently — timed out after retries, or
-    /// the pinned worker died (`FeEvent::DispatchFailed`).
+    /// The dispatch failed permanently — timed out after retries
+    /// (`FeEvent::DispatchFailed`).
     Failed(WorkerClass),
     /// A compute burst or nap finished.
     Done,
@@ -82,7 +81,6 @@ pub(crate) struct ReqShared {
     next_token: u64,
     ops: Vec<SvcOp>,
     slots: BTreeMap<u64, SlotState>,
-    hints: BTreeMap<WorkerClass, Vec<ComponentId>>,
     replied: bool,
 }
 
@@ -110,14 +108,6 @@ impl SvcHandle {
     /// Current time on the driving backend's axis.
     pub fn now(&self) -> SimTime {
         self.lock().now
-    }
-
-    /// Live workers of a hint class, as of the last event delivery —
-    /// the same beacon-derived membership a legacy callback reads from
-    /// `view.stub.workers_of`. Only classes the service declared in
-    /// [`AsyncService::hint_classes`] are populated.
-    pub fn workers_of(&self, class: &WorkerClass) -> Vec<ComponentId> {
-        self.lock().hints.get(class).cloned().unwrap_or_default()
     }
 
     /// Counts into the shared stats hub.
@@ -163,26 +153,6 @@ impl SvcHandle {
         })
     }
 
-    /// Dispatches to one specific worker (cache-ring routing).
-    pub fn dispatch_to(
-        &self,
-        worker: ComponentId,
-        class: WorkerClass,
-        op: impl Into<String>,
-        input: Payload,
-        profile: Option<ProfileData>,
-    ) -> Pending {
-        let op = op.into();
-        self.pend(|tag| Action::DispatchTo {
-            tag,
-            worker,
-            class,
-            op,
-            input,
-            profile,
-        })
-    }
-
     /// Burns front-end CPU; await completion.
     pub fn compute(&self, cost: Duration) -> Pending {
         self.pend(|tag| Action::Compute { tag, cost })
@@ -217,11 +187,9 @@ impl SvcHandle {
         }
     }
 
-    /// (Driver.) Updates the clock and hint snapshot before a poll.
-    pub fn sync(&self, now: SimTime, hints: BTreeMap<WorkerClass, Vec<ComponentId>>) {
-        let mut inner = self.lock();
-        inner.now = now;
-        inner.hints = hints;
+    /// (Driver.) Updates the clock before a poll.
+    pub fn sync(&self, now: SimTime) {
+        self.lock().now = now;
     }
 
     /// (Driver.) Resolves the awaited token; returns false when no one
@@ -302,12 +270,6 @@ impl Drop for Pending {
 
 /// A service whose per-request behaviour is one async body.
 pub trait AsyncService: Send {
-    /// Worker classes whose live membership bodies read via
-    /// [`SvcHandle::workers_of`] (refreshed before every poll).
-    fn hint_classes(&self) -> Vec<WorkerClass> {
-        Vec::new()
-    }
-
     /// Handles one request. The body awaits [`SvcHandle`] operations
     /// and must call [`SvcHandle::reply`] before returning; a body
     /// that returns without replying produces an error reply.
@@ -333,30 +295,16 @@ struct ReqTask {
 /// the migration adapter (`DESIGN.md` §6i).
 pub struct AsyncSvcLogic<S> {
     svc: S,
-    hint_classes: Vec<WorkerClass>,
     waker: Waker,
 }
 
 impl<S: AsyncService> AsyncSvcLogic<S> {
     /// Wraps a service.
     pub fn new(svc: S) -> Self {
-        let hint_classes = svc.hint_classes();
         AsyncSvcLogic {
             svc,
-            hint_classes,
             waker: Waker::from(Arc::new(NoopWake)),
         }
-    }
-
-    fn snapshot(&self, view: &SvcView<'_, '_>) -> BTreeMap<WorkerClass, Vec<ComponentId>> {
-        self.hint_classes
-            .iter()
-            .map(|c| {
-                let mut live = view.stub.workers_of(c);
-                live.sort();
-                (c.clone(), live)
-            })
-            .collect()
     }
 
     /// Polls the task once and drains its effects: stats straight into
@@ -368,7 +316,7 @@ impl<S: AsyncService> AsyncSvcLogic<S> {
         view: &mut SvcView<'_, '_>,
         out: &mut Vec<Action>,
     ) -> bool {
-        task.svc.sync(view.now, self.snapshot(view));
+        task.svc.sync(view.now);
         let mut cx = Context::from_waker(&self.waker);
         let done = task.fut.as_mut().poll(&mut cx).is_ready();
         for op in task.svc.take_ops() {

@@ -180,3 +180,46 @@ fn deterministic_replay() {
     };
     assert_eq!(run(), run());
 }
+
+/// The query stream is a function of the cluster seed: two seeds must
+/// replay different query terms, not one fixed stream for every run.
+#[test]
+fn cluster_seed_drives_the_query_stream() {
+    use sns_core::msg::SnsMsg;
+    use sns_sim::engine::{Component, Ctx};
+    use sns_sim::ComponentId;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Stands in for the front ends and records each query URL.
+    struct Recorder(Rc<RefCell<Vec<String>>>);
+    impl Component<SnsMsg> for Recorder {
+        fn on_message(&mut self, _: &mut Ctx<'_, SnsMsg>, _: ComponentId, msg: SnsMsg) {
+            if let SnsMsg::Request(req) = msg {
+                self.0.borrow_mut().push(req.url.clone());
+            }
+        }
+    }
+
+    let queries = |seed: u64| {
+        let mut cluster = HotBotBuilder::new()
+            .with_seed(seed)
+            .with_partitions(2)
+            .with_corpus_docs(100)
+            .with_frontends(1)
+            .build();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let node = cluster.client_node;
+        let recorder = cluster
+            .sim
+            .spawn(node, Box::new(Recorder(Rc::clone(&seen))), "recorder");
+        cluster.fes = vec![recorder];
+        cluster.attach_client(20.0, 20, Duration::from_secs(1));
+        cluster.sim.run_until(SimTime::from_secs(10));
+        let seen = seen.borrow().clone();
+        assert_eq!(seen.len(), 20, "every query reached the recorder");
+        seen
+    };
+    assert_eq!(queries(1), queries(1), "one seed replays one stream");
+    assert_ne!(queries(1), queries(2), "different seeds, different queries");
+}

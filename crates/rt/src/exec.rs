@@ -11,11 +11,8 @@
 //! | `Action::Nap`      | engine timer                 | deadline list + park        |
 //! | wake-up            | engine event delivery        | executor condvar            |
 //!
-//! `Action::DispatchTo` (pinned, cache-ring routing) has no rt
-//! analogue — the live cluster routes every job through the shared
-//! dispatch plane — so it degrades to a class dispatch: same worker
-//! class, plane-chosen replica. Bodies that pin for *affinity* still
-//! work; bodies that pin for *correctness* should shard by class.
+//! Bodies only dispatch by class ([`SvcHandle::dispatch`]); the live
+//! cluster routes every job through the shared dispatch plane.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::TryRecvError;
@@ -27,7 +24,6 @@ use sns_core::exec::{Clock as _, Executor, WallClock};
 use sns_core::frontend::Action;
 use sns_core::msg::{ClientRequest, JobResult};
 use sns_core::{Payload, WorkerClass};
-use sns_sim::ComponentId;
 
 use crate::RtCluster;
 
@@ -67,7 +63,6 @@ pub fn serve<S: AsyncService>(
 ) -> ServeOutcome {
     let clock = WallClock::new();
     let handle = SvcHandle::new_request();
-    let hint_classes = svc.hint_classes();
     let fut = svc.handle(Arc::new(request), handle.clone());
     let mut exec = Executor::new();
     let root = exec.spawn(fut);
@@ -80,17 +75,7 @@ pub fn serve<S: AsyncService>(
     let mut reply: Option<Result<Payload, String>> = None;
 
     loop {
-        // Hint snapshot: rt reports class populations, not identities;
-        // synthesise stable ids so membership-sensitive bodies (ring
-        // sizing, is-the-profile-db-up checks) see the right count.
-        let hints = hint_classes
-            .iter()
-            .map(|c| {
-                let n = cluster.workers_of(c.name()) as u64;
-                (c.clone(), (0..n).map(ComponentId).collect())
-            })
-            .collect();
-        handle.sync(clock.now(), hints);
+        handle.sync(clock.now());
         exec.run_ready();
         for op in handle.take_ops() {
             match op {
@@ -103,14 +88,6 @@ pub fn serve<S: AsyncService>(
                         op,
                         input,
                         profile,
-                    }
-                    | Action::DispatchTo {
-                        tag,
-                        class,
-                        op,
-                        input,
-                        profile,
-                        ..
                     } => {
                         let rx = cluster.submit(class.name(), &op, input, profile);
                         in_flight.push(InFlight {
@@ -123,6 +100,7 @@ pub fn serve<S: AsyncService>(
                     Action::Nap { tag, delay } => naps.push((tag, Instant::now() + delay)),
                     Action::MarkDegraded => degraded = true,
                     Action::Reply(r) => reply = reply.or(Some(r)),
+                    Action::DispatchTo { .. } => unreachable!("SvcHandle only dispatches by class"),
                 },
             }
         }

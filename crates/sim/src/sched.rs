@@ -1,53 +1,25 @@
-//! Pending-event schedulers: the ordering contract behind the engine's
-//! run loop, a binary-heap baseline and a hierarchical timer wheel.
+//! The pending-event scheduler behind the engine's run loop: a
+//! hierarchical timer wheel, plus the binary-heap oracle it is checked
+//! against.
 //!
 //! The engine pops events in `(at, seq)` order — earliest virtual time
 //! first, FIFO by a monotonic sequence number among equal timestamps.
-//! Every [`Scheduler`] implementation must reproduce that order
-//! **bit-for-bit**: swapping implementations must never change a run
-//! (the cross-scheduler suites in `tests/` and `tests/determinism.rs`
-//! enforce this byte-identically).
 //!
-//! Two implementations are provided:
-//!
-//! * [`HeapScheduler`] — the `BinaryHeap` the engine historically used.
-//!   `O(log n)` push/pop; pops on large queues walk `log n` levels of a
-//!   cache-cold array.
-//! * [`WheelScheduler`] — a hierarchical timer wheel (64 slots × 6
-//!   levels, 65.536 µs level-0 ticks, ~52 days of span) with a binary
-//!   heap as the overflow level for far-future events. Push is `O(1)`;
-//!   pops drain one sorted level-0 bucket at a time, so cost is
-//!   independent of the standing event population.
+//! * [`WheelScheduler`] — the engine's scheduler: a hierarchical timer
+//!   wheel (64 slots × 6 levels, 65.536 µs level-0 ticks, ~52 days of
+//!   span) with a binary heap as the overflow level for far-future
+//!   events. Push is `O(1)`; pops drain one sorted level-0 bucket at a
+//!   time, so cost is independent of the standing event population.
+//! * [`HeapScheduler`] — a plain `BinaryHeap`, the obviously-correct
+//!   reference. No simulation runs on it; it exists only as the test
+//!   oracle the wheel must match pop for pop (the unit tests below and
+//!   `tests/sched_equiv.rs`).
 
 use std::collections::BTreeSet;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 use crate::time::SimTime;
-
-/// Which [`Scheduler`] implementation a simulation runs on.
-///
-/// Both orderings are bit-for-bit identical; the knob exists so the
-/// equivalence can be *checked* (and so regressions can be bisected to
-/// the scheduler) while production runs default to the faster wheel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The `BinaryHeap` baseline.
-    Heap,
-    /// The hierarchical timer wheel with a heap overflow level.
-    #[default]
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Constructs a boxed scheduler of this kind.
-    pub fn make<T: 'static>(self) -> Box<dyn Scheduler<T>> {
-        match self {
-            SchedulerKind::Heap => Box::new(HeapScheduler::new()),
-            SchedulerKind::Wheel => Box::new(WheelScheduler::new()),
-        }
-    }
-}
 
 /// A priority queue of `(at, seq, item)` entries popped in `(at, seq)`
 /// lexicographic order.
@@ -56,6 +28,10 @@ impl SchedulerKind {
 /// caller, so the order is total and equal-time entries pop FIFO.
 /// `peek`/`pop` take `&mut self` because the wheel reorganises its
 /// buckets lazily while searching for the next entry.
+///
+/// The engine always runs on [`WheelScheduler`]; the trait is the
+/// contract the wheel shares with its [`HeapScheduler`] oracle, so the
+/// equivalence tests can drive both through one interface.
 pub trait Scheduler<T> {
     /// Enqueues an entry. `at` must be at or after the time of the last
     /// popped entry; `seq` must be strictly greater than any previously
@@ -132,8 +108,8 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The historical `BinaryHeap` scheduler: the reference implementation
-/// the wheel is checked against.
+/// The `BinaryHeap` reference scheduler: the test oracle the wheel is
+/// checked against pop for pop. The engine never runs on it.
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<HeapEntry<T>>,
     cancelled: BTreeSet<u64>,
@@ -452,9 +428,10 @@ mod tests {
         out
     }
 
-    /// Pushes the same pseudo-random schedule into both schedulers and
-    /// checks identical pop order, with pops interleaved into pushes so
-    /// the wheel's cursor advances mid-stream.
+    /// Pushes the same pseudo-random schedule into the wheel and the
+    /// heap oracle and checks identical pop order, with pops
+    /// interleaved into pushes so the wheel's cursor advances
+    /// mid-stream.
     #[test]
     fn wheel_matches_heap_on_mixed_horizons() {
         let mut heap: HeapScheduler<u64> = HeapScheduler::new();
@@ -528,10 +505,17 @@ mod tests {
         assert_eq!(wheel.pop().map(|e| e.2), Some(40));
     }
 
+    /// The wheel and its heap oracle, for tests that run on both.
+    fn both() -> [Box<dyn Scheduler<u32>>; 2] {
+        [
+            Box::new(HeapScheduler::new()),
+            Box::new(WheelScheduler::new()),
+        ]
+    }
+
     #[test]
     fn cancel_suppresses_entries_in_both_impls() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut s: Box<dyn Scheduler<u32>> = kind.make();
+        for mut s in both() {
             s.push(SimTime::from_millis(1), 1, 1);
             s.push(SimTime::from_millis(2), 2, 2);
             s.push(SimTime::from_millis(3), 3, 3);
@@ -586,8 +570,7 @@ mod tests {
 
     #[test]
     fn pop_batch_takes_equal_timestamps_only() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut s: Box<dyn Scheduler<u32>> = kind.make();
+        for (impl_no, mut s) in both().into_iter().enumerate() {
             let t = SimTime::from_millis(7);
             s.push(t, 1, 1);
             s.push(t, 2, 2);
@@ -597,7 +580,7 @@ mod tests {
             assert_eq!(
                 out.iter().map(|e| e.2).collect::<Vec<_>>(),
                 vec![1, 2],
-                "{kind:?}"
+                "scheduler #{impl_no}"
             );
             out.clear();
             assert_eq!(s.pop_batch(&mut out, 10), 1);

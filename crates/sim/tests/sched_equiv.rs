@@ -1,16 +1,19 @@
-//! Cross-scheduler equivalence: the heap baseline and the timer wheel
-//! must produce bit-identical pop order — `(time, seq, item)` — for any
-//! operation sequence, and the engine must deliver bit-identical runs
-//! on either. Failures shrink to a minimal divergent op sequence via
-//! the testkit's choice-stream shrinking.
+//! The timer wheel against its heap oracle: both must produce
+//! bit-identical pop order — `(time, seq, item)` — for any operation
+//! sequence, and the engine (which runs on the wheel) must fire timers
+//! in exactly the order the oracle pops them. Failures shrink to a
+//! minimal divergent op sequence via the testkit's choice-stream
+//! shrinking.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use sns_testkit::{gens, props, tk_assert, tk_assert_eq};
 
 use sns_sim::engine::{Component, Ctx, NodeSpec, Sim, SimConfig, Wire};
 use sns_sim::network::IdealNetwork;
-use sns_sim::sched::{HeapScheduler, Scheduler, SchedulerKind, WheelScheduler};
+use sns_sim::sched::{HeapScheduler, Scheduler, WheelScheduler};
 use sns_sim::time::SimTime;
 use sns_sim::ComponentId;
 
@@ -30,7 +33,7 @@ enum Op {
     Push { delay: u64 },
     /// Cancel the k-th currently pending entry (skipped when none).
     Cancel { k: usize },
-    /// Pop once and compare both schedulers.
+    /// Pop once from each and compare.
     Pop,
     /// `every_until`-shaped burst: `n` entries at a fixed period.
     Burst { n: u64, period: u64 },
@@ -126,62 +129,90 @@ props! {
         }));
     }
 
-    /// Whole-engine equivalence: the same seeded run delivers the same
-    /// `(time, token)` firing log on either scheduler, including timers
-    /// re-armed with zero delay (fires at the *current* timestamp,
-    /// inside the wheel's dispatch batch).
-    fn engine_runs_identically_on_both_schedulers(
+    /// Whole-engine oracle: several seeded probes arm random timers,
+    /// including re-arms with zero delay (fires at the *current*
+    /// timestamp, inside the wheel's dispatch batch). Every timer is
+    /// mirrored into a heap oracle as it is armed, and each firing must
+    /// be exactly the oracle's next pop.
+    fn engine_fires_timers_in_heap_oracle_order(
         seed in gens::any_u64(),
         delays in gens::vec(gens::u64_in(0..2_000), 1..30),
     ) {
+        /// Pending timers keyed `(probe, token)`, plus the two logs.
+        #[derive(Default)]
+        struct Oracle {
+            heap: HeapScheduler<(u64, u64)>,
+            seq: u64,
+            fired: Vec<(SimTime, u64, u64)>,
+            popped: Vec<(SimTime, u64, u64)>,
+        }
+        type Shared = Rc<RefCell<Oracle>>;
         struct Probe {
+            id: u64,
             delays_ms: Vec<u64>,
+            oracle: Shared,
+        }
+        impl Probe {
+            fn arm(&self, ctx: &mut Ctx<'_, Nop>, delay: Duration, token: u64) {
+                ctx.timer(delay, token);
+                let mut o = self.oracle.borrow_mut();
+                o.seq += 1;
+                let seq = o.seq;
+                o.heap.push(ctx.now() + delay, seq, (self.id, token));
+            }
         }
         impl Component<Nop> for Probe {
             fn on_start(&mut self, ctx: &mut Ctx<'_, Nop>) {
                 for (i, &d) in self.delays_ms.iter().enumerate() {
-                    ctx.timer(Duration::from_millis(d), i as u64);
+                    self.arm(ctx, Duration::from_millis(d), i as u64);
                 }
             }
             fn on_message(&mut self, _: &mut Ctx<'_, Nop>, _: ComponentId, _: Nop) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, Nop>, token: u64) {
-                let now = ctx.now();
-                ctx.stats().sample("fired", now, token as f64);
+                {
+                    let mut o = self.oracle.borrow_mut();
+                    o.fired.push((ctx.now(), self.id, token));
+                    let (at, _, (id, t)) = o.heap.pop().expect("oracle has the timer");
+                    o.popped.push((at, id, t));
+                }
                 // Sometimes re-arm at the current timestamp, sometimes a
-                // little later; the RNG stream is part of the replayed
-                // state so both schedulers see identical choices.
+                // little later; the choices come from the seeded RNG.
                 if token < 600 {
                     let bump = if ctx.rng().chance(0.3) {
                         Duration::ZERO
                     } else {
                         Duration::from_millis(ctx.rng().below(50))
                     };
-                    ctx.timer(bump, token + 100);
+                    self.arm(ctx, bump, token + 100);
                 }
             }
         }
-        let run = |kind: SchedulerKind| {
-            let mut sim: Sim<Nop, IdealNetwork> = Sim::new(
-                SimConfig { seed, scheduler: kind, ..Default::default() },
-                IdealNetwork::default(),
-            );
-            let n = sim.add_node(NodeSpec::new(1, "d"));
-            sim.spawn(n, Box::new(Probe { delays_ms: delays.clone() }), "probe");
-            sim.run_until(SimTime::from_secs(60));
-            (
-                sim.now(),
-                sim.events_dispatched(),
-                sim.stats().series("fired").map(|s| s.points().to_vec()),
-            )
-        };
-        tk_assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
+        let oracle: Shared = Rc::default();
+        let mut sim: Sim<Nop, IdealNetwork> =
+            Sim::new(SimConfig::new().with_seed(seed), IdealNetwork::default());
+        let n = sim.add_node(NodeSpec::new(1, "d"));
+        for id in 0..3 {
+            // Each probe arms a rotation of the same delays, so timers
+            // of different probes collide on equal timestamps.
+            let mut delays_ms = delays.clone();
+            delays_ms.rotate_left(id as usize % delays.len());
+            let probe = Probe { id, delays_ms, oracle: Rc::clone(&oracle) };
+            sim.spawn(n, Box::new(probe), "probe");
+        }
+        let until = SimTime::from_secs(60);
+        sim.run_until(until);
+        let mut o = oracle.borrow_mut();
+        tk_assert!(!o.fired.is_empty());
+        tk_assert_eq!(&o.fired, &o.popped);
+        // Whatever the oracle still holds lies beyond the horizon.
+        tk_assert!(o.heap.peek().is_none_or(|(at, _)| at > until));
     }
 }
 
 /// Regression: FIFO-by-seq at equal `SimTime`, including an event
 /// scheduled *during* delivery at the current timestamp — wheel
 /// batching must slot it after everything already pending at that
-/// time, exactly like the heap does.
+/// time, exactly like the heap oracle does.
 #[test]
 fn same_timestamp_events_fire_fifo_including_mid_delivery_schedules() {
     struct Probe;
@@ -201,23 +232,15 @@ fn same_timestamp_events_fire_fifo_including_mid_delivery_schedules() {
             }
         }
     }
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        let mut sim: Sim<Nop, IdealNetwork> = Sim::new(
-            SimConfig {
-                scheduler: kind,
-                ..Default::default()
-            },
-            IdealNetwork::default(),
-        );
-        let n = sim.add_node(NodeSpec::new(1, "d"));
-        sim.spawn(n, Box::new(Probe), "probe");
-        sim.run();
-        let fired = sim.stats().series("order").unwrap().points().to_vec();
-        let t = SimTime::from_millis(1);
-        assert_eq!(
-            fired,
-            vec![(t, 0.0), (t, 1.0), (t, 2.0)],
-            "{kind:?}: same-timestamp events must fire FIFO by seq"
-        );
-    }
+    let mut sim: Sim<Nop, IdealNetwork> = Sim::new(SimConfig::new(), IdealNetwork::default());
+    let n = sim.add_node(NodeSpec::new(1, "d"));
+    sim.spawn(n, Box::new(Probe), "probe");
+    sim.run();
+    let fired = sim.stats().series("order").unwrap().points().to_vec();
+    let t = SimTime::from_millis(1);
+    assert_eq!(
+        fired,
+        vec![(t, 0.0), (t, 1.0), (t, 2.0)],
+        "same-timestamp events must fire FIFO by seq"
+    );
 }

@@ -17,7 +17,6 @@ use sns_distillers::{
 };
 use sns_san::{LinkParams, San, SanConfig, SanMode};
 use sns_sim::engine::{NodeSpec, Sim, SimConfig};
-use sns_sim::sched::SchedulerKind;
 use sns_sim::{ComponentId, GroupId, NodeId};
 use sns_tacc::cache_worker::CacheWorker;
 use sns_tacc::origin::OriginServer;
@@ -25,22 +24,8 @@ use sns_tacc::profile_worker::ProfileWorker;
 use sns_tacc::worker::TaccWorkerHost;
 use sns_workload::trace::TraceRecord;
 
-use crate::async_logic::TranSendAsync;
 use crate::client::{ClientReportHandle, TranSendClient};
 use crate::logic::{TranSendConfig, TranSendLogic};
-
-/// Builds the service logic — legacy state machine or its async
-/// re-expression (`DESIGN.md` §6i); both are action-for-action
-/// equivalent.
-fn make_logic(ts: &TranSendConfig, async_logic: bool) -> Box<dyn sns_core::ServiceLogic> {
-    if async_logic {
-        Box::new(sns_core::exec::service::AsyncSvcLogic::new(
-            TranSendAsync::new(ts.clone()),
-        ))
-    } else {
-        Box::new(TranSendLogic::new(ts.clone()))
-    }
-}
 
 /// Fluent TranSend cluster builder.
 ///
@@ -74,10 +59,8 @@ pub struct TranSendBuilder {
     fe_nic: Option<LinkParams>,
     distiller_crash_prob: f64,
     delta_correction: bool,
-    scheduler: SchedulerKind,
     tracing: bool,
     trace_sample_rate: u32,
-    async_logic: bool,
 }
 
 impl Default for TranSendBuilder {
@@ -103,10 +86,8 @@ impl Default for TranSendBuilder {
             fe_nic: None,
             distiller_crash_prob: 0.0,
             delta_correction: true,
-            scheduler: SchedulerKind::default(),
             tracing: false,
             trace_sample_rate: 1,
-            async_logic: false,
         }
     }
 }
@@ -126,13 +107,6 @@ impl TranSendBuilder {
     /// Sets the engine seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.topology.seed = seed;
-        self
-    }
-
-    /// Selects the engine's pending-event scheduler (both kinds dispatch
-    /// in bit-identical order; see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -278,19 +252,10 @@ impl TranSendBuilder {
     /// Sets the head-sampling rate used when tracing: keep roughly one
     /// request in `rate` (`<= 1` keeps all). The decision stream is
     /// seeded from the topology seed, so the sampled set is a pure
-    /// function of `(seed, rate)` — identical across schedulers and
+    /// function of `(seed, rate)` — identical across runs and
     /// backends (see `OBSERVABILITY.md`).
     pub fn with_trace_sampling(mut self, rate: u32) -> Self {
         self.trace_sample_rate = rate;
-        self
-    }
-
-    /// Runs the front ends on [`TranSendAsync`] — the request path as
-    /// one `async fn` polled deterministically behind the unchanged
-    /// framework — instead of the legacy state machine. Off by default;
-    /// both emit identical actions (see `tests/async_path.rs`).
-    pub fn with_async_logic(mut self, on: bool) -> Self {
-        self.async_logic = on;
         self
     }
 }
@@ -319,7 +284,6 @@ pub struct TranSendCluster {
     ts: TranSendConfig,
     fe_nic: Option<LinkParams>,
     mgr_factory: ManagerFactory,
-    async_logic: bool,
 }
 
 struct Wiring {
@@ -451,14 +415,7 @@ impl TranSendBuilder {
     pub fn build(self) -> TranSendCluster {
         let topo = &self.topology;
         let san = San::new(topo.san.clone());
-        let mut sim: Sim<SnsMsg, San> = Sim::new(
-            SimConfig {
-                seed: topo.seed,
-                scheduler: self.scheduler,
-                ..Default::default()
-            },
-            san,
-        );
+        let mut sim: Sim<SnsMsg, San> = Sim::new(SimConfig::new().with_seed(topo.seed), san);
         if self.tracing {
             sim.set_tracer(sns_core::trace::Tracer::sampled(
                 sns_core::trace::Sampling::per(self.trace_sample_rate, topo.seed),
@@ -529,7 +486,7 @@ impl TranSendBuilder {
         let mut fes = Vec::new();
         for &node in &fe_nodes {
             let mut frontend = FrontEnd::new(
-                make_logic(&self.ts, self.async_logic),
+                Box::new(TranSendLogic::new(self.ts.clone())),
                 FeConfig {
                     sns: self.sns.clone(),
                     beacon_group: beacon,
@@ -566,7 +523,6 @@ impl TranSendBuilder {
             ts: self.ts,
             fe_nic: self.fe_nic,
             mgr_factory,
-            async_logic: self.async_logic,
         }
     }
 }
@@ -589,7 +545,7 @@ impl TranSendCluster {
     /// Note: already-attached clients keep their FE list; attach clients
     /// after all front ends exist, or use one client per configuration.
     pub fn add_frontend(&mut self) -> ComponentId {
-        self.add_frontend_with_logic(make_logic(&self.ts, self.async_logic))
+        self.add_frontend_with_logic(Box::new(TranSendLogic::new(self.ts.clone())))
     }
 
     /// Adds a front end running an arbitrary [`sns_core::ServiceLogic`]

@@ -24,13 +24,11 @@
 
 #![warn(missing_docs)]
 
-pub mod async_logic;
 pub mod builder;
 pub mod client;
 pub mod config;
 pub mod logic;
 
-pub use async_logic::TranSendAsync;
 pub use builder::{TranSendBuilder, TranSendCluster};
 pub use client::{ClientReport, TranSendClient};
 pub use logic::{PrefUpdate, TranSendConfig, TranSendLogic};

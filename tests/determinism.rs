@@ -1,26 +1,28 @@
 //! Whole-stack determinism: identical seeds produce bit-identical runs
 //! across every layer — the property that makes all the reproduced
 //! figures and fault-injection experiments replayable.
+//!
+//! The golden rows pin each artefact to a constant: the numeric
+//! fingerprint, or the `fnv1a` hash of the monitor log or JSONL
+//! export. Each constant is the value the heap-ordered reference
+//! scheduler and the timer wheel both produced before the engine was
+//! narrowed to the wheel alone, so a change that moves event order by
+//! even one byte fails here.
 
 use std::time::Duration;
 
+use cluster_sns::cache::fnv1a;
 use cluster_sns::chaos::{FaultKind, FaultPlan, SimChaos, SimChaosConfig};
 use cluster_sns::core::MonitorTap;
 use cluster_sns::hotbot::HotBotBuilder;
-use cluster_sns::sim::{SchedulerKind, SimTime};
+use cluster_sns::sim::SimTime;
 use cluster_sns::transend::TranSendBuilder;
 use cluster_sns::workload::playback::{Playback, Schedule};
 use cluster_sns::workload::trace::{TraceGenerator, WorkloadConfig};
 
-fn transend_fingerprint_on(
-    seed: u64,
-    scheduler: SchedulerKind,
-    async_logic: bool,
-) -> (u64, u64, u64, String) {
+fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -65,10 +67,6 @@ fn transend_fingerprint_on(
     )
 }
 
-fn transend_fingerprint(seed: u64) -> (u64, u64, u64, String) {
-    transend_fingerprint_on(seed, SchedulerKind::default(), false)
-}
-
 #[test]
 fn transend_runs_are_bit_identical_given_a_seed() {
     let a = transend_fingerprint(0xd5);
@@ -83,34 +81,39 @@ fn different_seeds_give_different_runs() {
     assert_ne!(a.0, b.0, "different seeds must diverge");
 }
 
-/// A full TranSend trace replay (fault injection included) produces the
-/// same event count, responses, bytes and counters on the heap baseline
-/// and the timer wheel.
+/// A full TranSend trace replay (fault injection included), run twice,
+/// lands on the golden event count, responses, bytes and counter hash.
 #[test]
 fn transend_replay_is_identical_across_schedulers() {
-    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap, false);
-    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel, false);
-    assert_eq!(heap, wheel, "heap and wheel replays must be bit-identical");
+    let golden = (10_179, 121, 203_562, 0xbec4_38c4_d664_face);
+    for _ in 0..2 {
+        let (events, responses, bytes, counters) = transend_fingerprint(0xd5);
+        assert_eq!(
+            (events, responses, bytes, fnv1a(counters.as_bytes())),
+            golden,
+            "the replay drifted from the pinned fingerprint"
+        );
+    }
 }
 
-/// The async-ported request path (`TranSendAsync` bodies polled by the
-/// deterministic executor) must be exactly as replayable as the legacy
-/// state machine: same seed, same fault injection, bit-identical event
-/// counts and counters on the heap baseline and the timer wheel.
-#[test]
-fn async_transend_replay_is_identical_across_schedulers() {
-    let heap = transend_fingerprint_on(0xd5, SchedulerKind::Heap, true);
-    let wheel = transend_fingerprint_on(0xd5, SchedulerKind::Wheel, true);
-    assert_eq!(heap, wheel, "async replays must be bit-identical");
+/// Asserts that `run` renders the same artefact twice and that it
+/// hashes to `golden`.
+fn assert_golden(what: &str, golden: u64, run: impl Fn() -> String) {
+    for _ in 0..2 {
+        let rendered = run();
+        assert_eq!(
+            fnv1a(rendered.as_bytes()),
+            golden,
+            "{what} drifted from its pinned hash"
+        );
+    }
 }
 
 /// One full chaos run: same seed, same fault plan, returns the
 /// byte-stable canonical rendering of the tapped monitor-event log.
-fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind, async_logic: bool) -> String {
+fn chaos_monitor_log(seed: u64) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_overflow_nodes(1)
         .with_frontends(1)
@@ -168,10 +171,6 @@ fn chaos_monitor_log_on(seed: u64, scheduler: SchedulerKind, async_logic: bool) 
     rendered
 }
 
-fn chaos_monitor_log(seed: u64) -> String {
-    chaos_monitor_log_on(seed, SchedulerKind::default(), false)
-}
-
 #[test]
 fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
     let a = chaos_monitor_log(0xFA);
@@ -182,33 +181,22 @@ fn same_seed_same_plan_gives_byte_identical_monitor_logs() {
 }
 
 /// The chaos demo plan (kill-worker, kill-manager, partition, beacon
-/// loss) must leave a byte-identical monitor-event log whether the
-/// engine schedules with the heap baseline or the timer wheel.
+/// loss) leaves the golden monitor-event log, byte for byte, on every
+/// replay.
 #[test]
 fn chaos_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap, false);
-    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel, false);
-    assert_eq!(heap, wheel, "monitor logs must match byte-for-byte");
-}
-
-/// The same chaos plan with the front ends on async bodies: every task
-/// wake is keyed to an engine event, so the monitor-event log stays
-/// byte-identical across schedulers even mid-fault-injection.
-#[test]
-fn async_chaos_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = chaos_monitor_log_on(0xFA, SchedulerKind::Heap, true);
-    let wheel = chaos_monitor_log_on(0xFA, SchedulerKind::Wheel, true);
-    assert_eq!(heap, wheel, "async monitor logs must match byte-for-byte");
+    assert_golden("the chaos monitor log", 0x3fcc_c93b_63ee_8af7, || {
+        chaos_monitor_log(0xFA)
+    });
 }
 
 /// One rolling-upgrade-under-load chaos run: a `RollingUpgrade` plan
 /// verb walks two dedicated nodes through drain → upgraded rejoin while
 /// a trace replays, and the byte-stable canonical monitor log (drains,
 /// rejoins, respawns, and all) is returned.
-fn rolling_upgrade_log_on(seed: u64, scheduler: SchedulerKind) -> String {
+fn rolling_upgrade_log(seed: u64) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
         .with_worker_nodes(5)
         .with_overflow_nodes(1)
         .with_frontends(1)
@@ -255,34 +243,27 @@ fn rolling_upgrade_log_on(seed: u64, scheduler: SchedulerKind) -> String {
 }
 
 /// A rolling upgrade under live load — the most schedule-sensitive
-/// cluster operation, since drains race in-flight dispatches — must
-/// leave a byte-identical monitor log on the heap baseline and the
-/// timer wheel.
+/// cluster operation, since drains race in-flight dispatches — leaves
+/// the golden monitor log on every replay.
 #[test]
 fn rolling_upgrade_monitor_logs_are_byte_identical_across_schedulers() {
-    let heap = rolling_upgrade_log_on(0xFA, SchedulerKind::Heap);
-    let wheel = rolling_upgrade_log_on(0xFA, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "upgrade logs must match byte-for-byte");
+    assert_golden(
+        "the rolling-upgrade monitor log",
+        0x5754_02c7_5343_2332,
+        || rolling_upgrade_log(0xFA),
+    );
 }
 
 /// One traced TranSend run, exported as JSONL. Trace emission rides the
-/// engine's event order, so the export must inherit the engine's
-/// scheduler-independence.
-fn transend_trace_jsonl_on(seed: u64, scheduler: SchedulerKind) -> String {
-    transend_trace_jsonl_sampled(seed, scheduler, 1, false)
+/// engine's event order, so the export is as replayable as the run.
+fn transend_trace_jsonl(seed: u64) -> String {
+    transend_trace_jsonl_sampled(seed, 1)
 }
 
 /// The same traced run, head-sampled 1-in-`rate` at the front end.
-fn transend_trace_jsonl_sampled(
-    seed: u64,
-    scheduler: SchedulerKind,
-    rate: u32,
-    async_logic: bool,
-) -> String {
+fn transend_trace_jsonl_sampled(seed: u64, rate: u32) -> String {
     let mut cluster = TranSendBuilder::new()
         .with_seed(seed)
-        .with_scheduler(scheduler)
-        .with_async_logic(async_logic)
         .with_worker_nodes(5)
         .with_frontends(1)
         .with_cache_partitions(2)
@@ -310,26 +291,27 @@ fn transend_trace_jsonl_sampled(
 }
 
 /// Head sampling is a pure function of the request number, so a
-/// sampled export must be (a) byte-identical across schedulers, like
-/// the full export, and (b) a strict, non-empty line-subset of the
-/// full export for the same seed — sampling drops whole requests, it
-/// never invents or reorders spans.
+/// sampled export must be (a) golden and replayable, like the full
+/// export, and (b) a strict, non-empty line-subset of the full export
+/// for the same seed — sampling drops whole requests, it never invents
+/// or reorders spans.
 #[test]
 fn sampled_trace_exports_are_deterministic_and_subset_the_full_export() {
-    let full = transend_trace_jsonl_on(0xd7, SchedulerKind::Heap);
-    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4, false);
-    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4, false);
-    assert_eq!(heap, wheel, "sampled exports must match byte-for-byte");
+    assert_golden("the sampled trace export", 0x8cc8_b621_ad18_cdb3, || {
+        transend_trace_jsonl_sampled(0xd7, 4)
+    });
+    let full = transend_trace_jsonl(0xd7);
+    let sampled = transend_trace_jsonl_sampled(0xd7, 4);
     assert!(
-        heap.lines().count() > 0,
+        sampled.lines().count() > 0,
         "1-in-4 sampling should keep some spans"
     );
     assert!(
-        heap.lines().count() < full.lines().count(),
+        sampled.lines().count() < full.lines().count(),
         "1-in-4 sampling should drop some spans"
     );
     let full_lines: std::collections::BTreeSet<&str> = full.lines().collect();
-    for line in heap.lines() {
+    for line in sampled.lines() {
         assert!(
             full_lines.contains(line),
             "sampled span missing from the full export: {line}"
@@ -337,29 +319,13 @@ fn sampled_trace_exports_are_deterministic_and_subset_the_full_export() {
     }
 }
 
-/// Same seed, same workload: the JSONL trace export is byte-identical
-/// whether the engine schedules with the heap baseline or the timer
-/// wheel — traces are as replayable as the runs they observe.
+/// Same seed, same workload: the JSONL trace export replays to the
+/// golden bytes — traces are as replayable as the runs they observe.
 #[test]
 fn same_seed_trace_exports_are_byte_identical_across_schedulers() {
-    let heap = transend_trace_jsonl_on(0xd7, SchedulerKind::Heap);
-    let wheel = transend_trace_jsonl_on(0xd7, SchedulerKind::Wheel);
-    assert_eq!(heap, wheel, "trace exports must match byte-for-byte");
-}
-
-/// Head-sampled tracing over the async request path: span emission
-/// rides the same engine event order the executor wakes on, so the
-/// sampled JSONL export from async-ported front ends must also be
-/// byte-identical across schedulers.
-#[test]
-fn async_sampled_trace_exports_are_byte_identical_across_schedulers() {
-    let heap = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Heap, 4, true);
-    let wheel = transend_trace_jsonl_sampled(0xd7, SchedulerKind::Wheel, 4, true);
-    assert_eq!(
-        heap, wheel,
-        "async sampled exports must match byte-for-byte"
-    );
-    assert!(heap.lines().count() > 0, "sampling should keep some spans");
+    assert_golden("the trace export", 0x6149_ce51_7550_5b4c, || {
+        transend_trace_jsonl(0xd7)
+    });
 }
 
 #[test]
