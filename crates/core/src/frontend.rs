@@ -69,14 +69,6 @@ pub enum Action {
         /// CPU time.
         cost: Duration,
     },
-    /// Sleep without holding CPU (async bodies' give-up and hedge
-    /// deadlines; see [`crate::exec::service::SvcHandle::nap`]).
-    Nap {
-        /// Correlation tag.
-        tag: u64,
-        /// How long to sleep.
-        delay: Duration,
-    },
     /// Finish the request.
     Reply(Result<Payload, String>),
     /// Flag the eventual response as degraded (approximate answer,
@@ -146,11 +138,6 @@ pub enum FeEvent<'a> {
         /// The compute's tag.
         tag: u64,
     },
-    /// An [`Action::Nap`] elapsed.
-    NapDone {
-        /// The nap's tag.
-        tag: u64,
-    },
 }
 
 /// Service-specific front-end behaviour: a per-request state machine.
@@ -190,7 +177,6 @@ const K_HEALTH: u64 = 1 << KIND_SHIFT;
 const K_OVERHEAD: u64 = 2 << KIND_SHIFT;
 const K_COMPUTE: u64 = 3 << KIND_SHIFT;
 const K_DISPATCH: u64 = 4 << KIND_SHIFT;
-const K_NAP: u64 = 5 << KIND_SHIFT;
 const ID_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
 /// The front-end component.
@@ -203,9 +189,6 @@ pub struct FrontEnd {
     jobs: BTreeMap<u64, (u64, u64)>,
     /// compute token id → (request, tag, when requested).
     computes: BTreeMap<u64, (u64, u64, SimTime)>,
-    /// nap token id → (request, tag).
-    naps: BTreeMap<u64, (u64, u64)>,
-    next_nap: u64,
     accept_queue: VecDeque<(ComponentId, Arc<ClientRequest>)>,
     active: u32,
     next_req: u64,
@@ -225,8 +208,6 @@ impl FrontEnd {
             requests: BTreeMap::new(),
             jobs: BTreeMap::new(),
             computes: BTreeMap::new(),
-            naps: BTreeMap::new(),
-            next_nap: 1,
             accept_queue: VecDeque::new(),
             active: 0,
             next_req: 1,
@@ -341,12 +322,6 @@ impl FrontEnd {
                     self.next_compute += 1;
                     self.computes.insert(cid, (req_id, tag, ctx.now()));
                     ctx.exec_cpu(cost, K_COMPUTE | cid);
-                }
-                Action::Nap { tag, delay } => {
-                    let nid = self.next_nap;
-                    self.next_nap += 1;
-                    self.naps.insert(nid, (req_id, tag));
-                    ctx.timer(delay, K_NAP | nid);
                 }
                 Action::MarkDegraded => {
                     if let Some(req) = self.requests.get_mut(&req_id) {
@@ -524,13 +499,6 @@ impl Component<SnsMsg> for FrontEnd {
                 }
                 TimeoutVerdict::Unknown => {}
             },
-            K_NAP => {
-                if let Some((req_id, tag)) = self.naps.remove(&id) {
-                    self.run_logic(ctx, req_id, |logic, req, view, out| {
-                        logic.on_event(req, FeEvent::NapDone { tag }, view, out);
-                    });
-                }
-            }
             _ => {}
         }
     }

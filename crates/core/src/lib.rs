@@ -41,7 +41,6 @@
 
 pub mod cluster;
 pub mod control;
-pub mod exec;
 pub mod frontend;
 pub mod invariant;
 pub mod manager;

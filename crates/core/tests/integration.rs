@@ -80,7 +80,7 @@ impl ServiceLogic for EchoService {
                 out.push(Action::MarkDegraded);
                 out.push(Action::Reply(Ok(Blob::payload(100, "original"))));
             }
-            FeEvent::ComputeDone { .. } | FeEvent::NapDone { .. } => {}
+            FeEvent::ComputeDone { .. } => {}
         }
     }
 }

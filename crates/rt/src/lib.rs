@@ -77,7 +77,6 @@
 #![warn(missing_docs)]
 
 pub mod chan;
-pub mod exec;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod async_pipeline;
 pub mod cache_worker;
 pub mod content;
 pub mod origin;
@@ -35,7 +34,6 @@ pub mod pipeline;
 pub mod profile_worker;
 pub mod worker;
 
-pub use async_pipeline::{PipelineConfig, PipelineJob, PipelineService};
 pub use cache_worker::{CacheGet, CacheGetResult, CacheInject, CacheWorker};
 pub use content::{Body, ContentObject};
 pub use origin::{FetchRequest, OriginServer};

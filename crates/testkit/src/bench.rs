@@ -152,6 +152,17 @@ impl BenchSuite {
         self.push_row(name, iters, summary);
     }
 
+    /// Records a row from samples the caller timed itself, one sample
+    /// per iteration — for benches that interleave their variants
+    /// instead of timing each in its own block.
+    pub fn record(&mut self, name: &str, samples_ns: &[f64]) {
+        let mut summary = Summary::with_capacity(samples_ns.len());
+        for &ns in samples_ns {
+            summary.record(ns);
+        }
+        self.push_row(name, samples_ns.len() as u64, summary);
+    }
+
     fn push_row(&mut self, name: &str, iters: u64, mut summary: Summary) {
         let row = BenchRow {
             group: self.group.clone(),
@@ -280,6 +291,15 @@ mod tests {
         for r in suite.rows() {
             assert!(r.samples >= 5, "{} got {} samples", r.bench, r.samples);
         }
+    }
+
+    #[test]
+    fn record_summarises_caller_timed_samples() {
+        let mut suite = BenchSuite::with_config("selftest", fast_cfg());
+        suite.record("timed", &[30.0, 10.0, 20.0]);
+        let r = &suite.rows()[0];
+        assert_eq!((r.iters, r.samples), (3, 3));
+        assert_eq!((r.min_ns, r.mean_ns, r.max_ns), (10.0, 20.0, 30.0));
     }
 
     #[test]

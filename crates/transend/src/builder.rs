@@ -545,16 +545,6 @@ impl TranSendCluster {
     /// Note: already-attached clients keep their FE list; attach clients
     /// after all front ends exist, or use one client per configuration.
     pub fn add_frontend(&mut self) -> ComponentId {
-        self.add_frontend_with_logic(Box::new(TranSendLogic::new(self.ts.clone())))
-    }
-
-    /// Adds a front end running an arbitrary [`sns_core::ServiceLogic`]
-    /// on a fresh node — the hook for hosting a different service (e.g.
-    /// an async TACC pipeline) inside an already-built cluster.
-    pub fn add_frontend_with_logic(
-        &mut self,
-        logic: Box<dyn sns_core::ServiceLogic>,
-    ) -> ComponentId {
         let node = self.sim.add_node(NodeSpec::new(2, "frontend"));
         if let Some(nic) = &self.fe_nic {
             self.sim.net_mut().set_nic(node, nic.clone());
@@ -562,7 +552,7 @@ impl TranSendCluster {
         let fe = self.sim.spawn(
             node,
             Box::new(FrontEnd::new(
-                logic,
+                Box::new(TranSendLogic::new(self.ts.clone())),
                 FeConfig {
                     sns: self.sns.clone(),
                     beacon_group: self.beacon,

@@ -485,7 +485,6 @@ impl ServiceLogic for TranSendLogic {
             FeEvent::WorkerReply { tag, result } => (*tag, Some(result)),
             FeEvent::DispatchFailed { tag, .. } => (*tag, None),
             FeEvent::ComputeDone { tag } => (*tag, None),
-            FeEvent::NapDone { tag } => (*tag, None),
         };
         if tag == TAG_PREF {
             let ok = matches!(reply, Some(JobResult::Ok(_)));
